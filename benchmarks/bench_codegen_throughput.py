@@ -1,9 +1,9 @@
 """Codegen throughput: generated loop nests vs the fancy-indexing path.
 
-The 64 MiB OD/OA cases from ``bench_procpool_scaling`` are the regime
-the codegen tier (``docs/codegen.md``) was built for: forced index-map
-programs stream a volume-sized int64 gather map alongside the data, so
-they are memory-traffic-bound on any host.  Per case:
+The 64 MiB OD/OA cases are the regime the codegen tier
+(``docs/codegen.md``) was built for: forced index-map programs stream a
+volume-sized int64 gather map alongside the data, so they are
+memory-traffic-bound on any host.  Per case:
 
 **parity first** — the generated :class:`~repro.kernels.codegen
 .NestProgram` must produce bit-identical output to the
@@ -13,7 +13,13 @@ they are memory-traffic-bound on any host.  Per case:
 **warm throughput** — warm ``run`` of the nest vs the indexed program,
 interleaved; the acceptance gate is ``>= MIN_CODEGEN_SPEEDUP`` in full
 mode (codegen's win is single-threaded DRAM traffic, so it gates on
-any CPU count, unlike the procpool bench).
+any CPU count).
+
+**auto routing** (full mode) — the scheduler's calibrated router
+(``backend="auto"``) is timed against both fixed backends, ``thread``
+and ``codegen``, through ``submit_partitioned`` after the calibrator has
+measured every cell; auto may not be slower than ``MAX_AUTO_RATIO`` x
+the better fixed backend.
 
 **warm restart** — the plan store is reopened and every compiled
 program dropped, as a restarted process would; recompiling the nests
@@ -50,6 +56,8 @@ from repro.kernels.codegen import (
 )
 from repro.kernels.common import reference_transpose
 from repro.kernels.executor import compile_executor
+from repro.runtime.autotune import CELL_BACKENDS, ThroughputCalibrator
+from repro.runtime.scheduler import StreamScheduler
 
 RESULTS_PATH = (
     Path(__file__).resolve().parent.parent
@@ -75,6 +83,10 @@ CASES = {
 
 #: Warm nest over warm indexed, full mode, any host.
 MIN_CODEGEN_SPEEDUP = 1.5
+
+#: Auto routing may not lose to the better fixed backend by more than
+#: this factor (full mode).
+MAX_AUTO_RATIO = 1.1
 
 #: Batch rows for the run_batch parity check.
 PARITY_BATCH = 2
@@ -145,6 +157,60 @@ def bench_case(name, dims, perm, repeats, store, smoke):
         "indexed_ms": round(indexed_ms, 3),
         "codegen_ms": round(nest_ms, 3),
         "codegen_speedup": round(indexed_ms / nest_ms, 3),
+    }
+
+
+def bench_auto(name, dims, perm, repeats, streams=4):
+    """Auto routing vs the fixed thread/codegen backends on one case,
+    all through the scheduler's partitioned path."""
+    tuner = ThroughputCalibrator(pool_size=streams, backends=CELL_BACKENDS)
+    plan = make_plan(dims, perm)
+    src = np.random.default_rng(3).standard_normal(plan.layout.volume)
+    ref = reference_transpose(src, plan.layout, plan.perm)
+    with StreamScheduler(
+        num_streams=streams, tuner=tuner, backend="auto"
+    ) as sched:
+
+        def run(backend=None, parts=None):
+            report = sched.submit_partitioned(
+                plan, src, parts=parts, backend=backend, lowering=False
+            ).result()
+            report.release()
+            return report
+
+        for backend in CELL_BACKENDS:
+            report = sched.submit_partitioned(
+                plan, src, backend=backend, lowering=False
+            ).result()
+            assert report.backend == backend, (
+                f"{name}: requested {backend}, routed to {report.backend}"
+            )
+            assert np.array_equal(report.output, ref), (
+                f"{name}: {backend} backend parity"
+            )
+            report.release()
+        # Calibrate every (backend, parts) cell so the timed auto runs
+        # exploit measurements instead of exploring.
+        for backend in CELL_BACKENDS:
+            for p in tuner.candidates:
+                for _ in range(tuner.min_samples):
+                    run(backend=backend, parts=p)
+        timed = interleaved_ms(
+            {
+                "thread": lambda: run(backend="thread"),
+                "codegen": lambda: run(backend="codegen"),
+                "auto": lambda: run(),
+            },
+            repeats,
+        )
+    best = {label: ms for label, (ms, _) in timed.items()}
+    return {
+        "thread_ms": round(best["thread"], 3),
+        "codegen_ms": round(best["codegen"], 3),
+        "auto_ms": round(best["auto"], 3),
+        "auto_vs_best_ratio": round(
+            best["auto"] / min(best["thread"], best["codegen"]), 3
+        ),
     }
 
 
@@ -247,11 +313,29 @@ def main(argv=None):
         for name, r in results.items()
         if r["codegen_speedup"] < MIN_CODEGEN_SPEEDUP
     ]
+    print(
+        f"{'case':<20s} {'thread':>9s} {'codegen':>9s} {'auto':>9s} "
+        f"{'auto/best':>9s}"
+    )
+    for name, (full_dims, _, perm) in CASES.items():
+        auto = bench_auto(name, full_dims, perm, repeats)
+        results[name]["auto"] = auto
+        print(
+            f"{name:<20s} {auto['thread_ms']:>7.2f}ms "
+            f"{auto['codegen_ms']:>7.2f}ms {auto['auto_ms']:>7.2f}ms "
+            f"{auto['auto_vs_best_ratio']:>9.3f}"
+        )
+        if auto["auto_vs_best_ratio"] > MAX_AUTO_RATIO:
+            failures.append(
+                f"{name}: auto {auto['auto_vs_best_ratio']}x of the better "
+                f"fixed backend (max {MAX_AUTO_RATIO})"
+            )
     summary = {
         "env": env_stamp(True),
         "repeats": repeats,
         "compile_backend": compile_backend(),
         "min_codegen_speedup": MIN_CODEGEN_SPEEDUP,
+        "max_auto_ratio": MAX_AUTO_RATIO,
         "warm_restart": {
             "searches": warm["searches"],
             "artifact_hits": warm["artifact_hits"],

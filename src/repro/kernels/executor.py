@@ -59,7 +59,7 @@ against ``B`` independent :meth:`~ExecutorProgram.run` calls.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Hashable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -601,8 +601,7 @@ def compile_executor(
        search reuse persisted descriptors — and, when the store exposes
        a ``native_dir``, lets the nest attach its compiled C backend
        from the store's on-disk object cache (``repro.kernels.native``;
-       fallback chain ``c`` → ``numba`` → ``python``, always
-       bit-exact).  ``refine >= 2`` lets a timed micro-probe pick among
+       fallback chain ``c`` → ``python``, always bit-exact).  ``refine >= 2`` lets a timed micro-probe pick among
        the analytic top-``refine`` shortlist
        (:func:`~repro.kernels.codegen.refine_descriptor`).
        Codegen never alters routes 1-2: ``lowering=False,
@@ -674,28 +673,6 @@ def new_program_cache(
 _PROGRAM_CACHE = new_program_cache()
 
 
-def cached_program(
-    key: Hashable,
-    build: Callable[[], ExecutorProgram],
-    cache: Optional[BoundedLRU] = None,
-) -> Tuple[ExecutorProgram, bool]:
-    """Get-or-build on a program cache (the process-wide one by default).
-
-    The generic rehydration hook: callers that can rebuild a program
-    from stable content (a kernel, or a persisted plan-store entry in a
-    process-pool worker) pass that content's key and a builder; the
-    program is compiled at most once per cache per key.  Returns
-    ``(program, hit)``.
-    """
-    target = cache if cache is not None else _PROGRAM_CACHE
-    program = target.get(key)
-    if program is not None:
-        return program, True
-    program = build()
-    target.put(key, program)
-    return program, False
-
-
 def executor_with_status(
     kernel,
     *,
@@ -713,8 +690,8 @@ def executor_with_status(
     identity — so every kernel instance of one plan (and every rebuilt
     plan of one problem) shares a single compiled program.  The compile
     options are part of the key: forcing ``lowering=False`` (the
-    index-map oracle, and the regime the process-pool backend exists
-    for) caches separately from the default lowering, and
+    index-map oracle, and the regime the codegen tier replaces) caches
+    separately from the default lowering, and
     ``codegen=True`` (the generated-nest tier) separately from both —
     a nest and its indexed fallback can coexist while the calibrator
     compares them.  ``cache`` swaps the process-wide cache for a
@@ -723,18 +700,21 @@ def executor_with_status(
     refinement is a per-deployment compile policy, and the refined
     descriptor persists as the geometry's artifact either way.
     """
-    return cached_program(
-        kernel.execute_key() + (lowering, max_index_bytes, codegen),
-        lambda: compile_executor(
-            kernel,
-            lowering=lowering,
-            max_index_bytes=max_index_bytes,
-            codegen=codegen,
-            artifacts=artifacts,
-            refine=refine,
-        ),
-        cache,
+    target = cache if cache is not None else _PROGRAM_CACHE
+    key = kernel.execute_key() + (lowering, max_index_bytes, codegen)
+    program = target.get(key)
+    if program is not None:
+        return program, True
+    program = compile_executor(
+        kernel,
+        lowering=lowering,
+        max_index_bytes=max_index_bytes,
+        codegen=codegen,
+        artifacts=artifacts,
+        refine=refine,
     )
+    target.put(key, program)
+    return program, False
 
 
 def executor_for(

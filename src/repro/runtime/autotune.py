@@ -17,24 +17,19 @@ The calibration table persists as JSON next to the plan store
 exploring — the same across-restart amortization the plan store gives
 planning.
 
-With the process-pool execution tier the table gained a **backend
-axis**: cells are keyed ``backend:kind|2^cls`` and
-:meth:`ThroughputCalibrator.choose_backend` picks between the thread
-pool and the process pool for the cells where the router has a real
-choice (large indexed/chunked programs — see
-:mod:`repro.runtime.procpool`), by the same explore-then-exploit rule
-``choose`` uses for ``parts``.
-
-The codegen tier (:mod:`repro.kernels.codegen`) adds a third routable
-backend, ``codegen`` — the same thread pool, but running a generated
-cache-blocked loop nest instead of the index-map program — and with it
-the wrinkle that a backend can turn out not to *exist* for a cell: the
-nest search may judge a geometry unprofitable and fall back.  The
-scheduler reports that with :meth:`ThroughputCalibrator
-.mark_unavailable`, which pins the cell off that backend so
-``choose_backend`` never explores it again (otherwise the explore rule
-would retry the doomed backend forever).  Unavailability persists with
-the measurements.
+The table has a **backend axis**: cells are keyed
+``backend:kind|2^cls`` and :meth:`ThroughputCalibrator.choose_backend`
+picks between the plain ``thread`` backend and ``codegen`` — the same
+thread pool, but running a generated cache-blocked loop nest
+(:mod:`repro.kernels.codegen`) instead of the index-map program — for
+the cells where the router has a real choice (large indexed/chunked
+programs), by the same explore-then-exploit rule ``choose`` uses for
+``parts``.  A backend can turn out not to *exist* for a cell: the nest
+search may judge a geometry unprofitable and fall back.  The scheduler
+reports that with :meth:`ThroughputCalibrator.mark_unavailable`, which
+pins the cell off that backend so ``choose_backend`` never explores it
+again (otherwise the explore rule would retry the doomed backend
+forever).  Unavailability persists with the measurements.
 
 The v3 table turns exploitation **Bayesian**: each candidate keeps a
 Welford running mean/variance of its per-run throughput, and once the
@@ -45,7 +40,9 @@ were noisy keeps earning re-measurement while consistently-measured
 cells lock in.  With zero observed variance UCB degenerates to the old
 plain argmax, so low-noise hosts behave exactly as before.  v2 tables
 migrate in place (aggregate throughput becomes the mean, variance
-starts at zero); v1 and corrupt tables are still discarded.
+starts at zero); v1 and corrupt tables are still discarded.  Cells
+keyed by a backend outside :data:`CELL_BACKENDS` (tables written when a
+``process`` backend still existed) are dropped on load.
 """
 
 from __future__ import annotations
@@ -58,14 +55,18 @@ from threading import Lock
 from typing import Dict, List, Optional, Sequence, Set, Union
 
 #: Version 2 added the backend axis to the cell keys (v1 files would
-#: alias thread and process measurements, so they are discarded on
+#: alias measurements of different backends, so they are discarded on
 #: load).  Version 3 added per-candidate Welford mean/variance of the
 #: per-run throughput for UCB exploit; v2 files migrate losslessly.
 AUTOTUNE_VERSION = 3
 
 #: The cell-key backend prefix used when the caller does not say —
-#: the in-process thread pool, the only backend before the process tier.
+#: the thread pool running the compiled program as is.
 DEFAULT_BACKEND = "thread"
+
+#: Every backend a cell can be keyed by.  Cells and ``unavailable``
+#: keys of any other backend are stale and dropped on load.
+CELL_BACKENDS = (DEFAULT_BACKEND, "codegen")
 
 #: Measurements per (cell, candidate) before the calibrator stops
 #: exploring that candidate.
@@ -217,9 +218,8 @@ class ThroughputCalibrator:
         once every backend is calibrated, the one whose best candidate
         measured the highest bytes/second wins.  ``among`` restricts
         the contest to the backends the caller's routing rules left
-        eligible for this job (the scheduler excludes, e.g., the
-        process pool for payloads below its dispatch floor); backends a
-        fallback declared unavailable for the cell are always skipped.
+        eligible for this job; backends a fallback declared unavailable
+        for the cell are always skipped.
         """
         backends = [
             b for b in self.backends if among is None or b in among
@@ -377,6 +377,13 @@ class ThroughputCalibrator:
             self._dirty = True
 
     # ---- persistence -------------------------------------------------
+    @staticmethod
+    def _known_backend(key: str) -> bool:
+        """Whether a cell key's backend prefix is one of
+        :data:`CELL_BACKENDS` (anything else, e.g. ``process``, is a
+        stale cell of a removed backend)."""
+        return key.partition(":")[0] in CELL_BACKENDS
+
     def _load(self) -> None:
         try:
             payload = json.loads(self.path.read_text())
@@ -389,13 +396,16 @@ class ThroughputCalibrator:
         ):
             # A foreign pool shape measured different candidates; its
             # numbers would mislead choose().  v1 tables (no backend
-            # prefix) would alias thread/process cells.  Start fresh.
+            # prefix) would alias backends' cells.  Start fresh.
             return
         cells = payload.get("cells")
         if not isinstance(cells, dict):
             return
         for key, cell in cells.items():
             if not isinstance(cell, dict):
+                continue
+            if not self._known_backend(key):
+                self._dirty = True  # rewrite without the stale cells
                 continue
             clean = {}
             for p_str, s in cell.items():
@@ -426,9 +436,11 @@ class ThroughputCalibrator:
                 self._cells[key] = clean
         unavailable = payload.get("unavailable", [])
         if isinstance(unavailable, list):
-            self._unavailable.update(
-                k for k in unavailable if isinstance(k, str)
-            )
+            for k in unavailable:
+                if isinstance(k, str) and self._known_backend(k):
+                    self._unavailable.add(k)
+                else:
+                    self._dirty = True
         if payload.get("autotune_version") != AUTOTUNE_VERSION:
             self._dirty = True  # rewrite migrated tables in v3 form
 

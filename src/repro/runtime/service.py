@@ -36,10 +36,10 @@ from repro.core.plan import Predictor, TransposePlan
 from repro.errors import DrainingError, InvalidLayoutError
 from repro.gpusim.spec import KEPLER_K40C, DeviceSpec
 from repro.model.feedback import DEFAULT_SHADOW_FRACTION, FeedbackLoop
-from repro.runtime.autotune import ThroughputCalibrator
+from repro.runtime.autotune import CELL_BACKENDS, ThroughputCalibrator
 from repro.runtime.batching import MicroBatcher, SingleFlight
 from repro.runtime.metrics import MetricsRegistry
-from repro.runtime.scheduler import ExecutionReport, StreamScheduler
+from repro.runtime.scheduler import BACKENDS, ExecutionReport, StreamScheduler
 from repro.runtime.store import PlanStore
 
 #: How cache events surface in the metrics registry.
@@ -83,15 +83,13 @@ class TransposeService:
         Where the parts auto-tuner persists its calibration.  Defaults
         to ``autotune.json`` next to the plan store (in-memory only
         when the service has no store).
-    backend / proc_workers / proc_start_method:
+    backend:
         Execution-backend routing (see ``docs/execution-tiers.md``):
-        ``thread`` keeps everything on the stream workers, ``process``
-        sends eligible large indexed/chunked jobs to the shared-memory
-        :class:`~repro.runtime.procpool.ProcessPool` (``proc_workers``
-        processes, created lazily), ``codegen`` recompiles them as
-        generated cache-blocked loop nests (``docs/codegen.md``) run on
-        the stream workers, ``auto`` lets the calibrator's backend axis
-        pick per (kind, size) cell across all three.
+        ``thread`` runs every compiled program as is on the stream
+        workers, ``codegen`` recompiles eligible large indexed/chunked
+        jobs as generated cache-blocked loop nests (``docs/codegen.md``)
+        run on the same workers, ``auto`` lets the calibrator's backend
+        axis pick per (kind, size) cell between the two.
     arena:
         Share a :class:`~repro.runtime.arena.BufferArena` between
         services; by default the scheduler owns a fresh one.
@@ -143,8 +141,6 @@ class TransposeService:
         batch_max: int = 64,
         autotune_path: Optional[Union[str, Path]] = None,
         backend: str = "thread",
-        proc_workers: Optional[int] = None,
-        proc_start_method: Optional[str] = None,
         arena=None,
         program_cache_size: Optional[int] = None,
         program_cache_bytes: Optional[int] = None,
@@ -156,6 +152,10 @@ class TransposeService:
     ):
         if store is not None and store_path is not None:
             raise ValueError("pass either store or store_path, not both")
+        if backend not in BACKENDS:
+            raise ValueError(
+                f"backend must be one of {BACKENDS}, got {backend!r}"
+            )
         self.spec = spec
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.store = store
@@ -195,16 +195,8 @@ class TransposeService:
             autotune_path = Path(self.store.path).with_name("autotune.json")
         # The calibrator cells the service measures: only the backends
         # this configuration can actually route to, so exploration never
-        # waits on a backend that will never run.  ``auto`` arbitrates
-        # across all three tiers.
-        if backend == "thread":
-            backends = ("thread",)
-        elif backend == "process":
-            backends = ("thread", "process")
-        elif backend == "codegen":
-            backends = ("thread", "codegen")
-        else:
-            backends = ("thread", "process", "codegen")
+        # waits on a backend that will never run.
+        backends = ("thread",) if backend == "thread" else CELL_BACKENDS
         self.autotuner = ThroughputCalibrator(
             pool_size=num_streams, path=autotune_path, backends=backends
         )
@@ -226,10 +218,7 @@ class TransposeService:
             metrics=self.metrics,
             tuner=self.autotuner,
             backend=backend,
-            proc_workers=proc_workers,
-            proc_start_method=proc_start_method,
             arena=arena,
-            store_path=self.store.path if self.store is not None else None,
             program_cache=self.program_cache,
             store=self.store,
             codegen_refine=codegen_refine,

@@ -300,10 +300,8 @@ class ServingServer:
             tenant_burst=tenant_burst,
             max_queue_depth=max_queue_depth,
         )
-        #: Request/ingress/egress buffer pool; heap-backed — the leases
-        #: never cross a process boundary, and sub-segment churn of the
-        #: shm path would only add filesystem round-trips here.
-        self.arena = BufferArena(use_shared_memory=False)
+        #: Request/ingress/egress buffer pool.
+        self.arena = BufferArena()
         self.metrics = MetricsRegistry()
         # Materialize the data-path counters so snapshots (and the
         # tensor_bytes_copied == 0 assertions) see them even when idle.

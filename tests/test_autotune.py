@@ -112,8 +112,8 @@ def test_persistence_tolerates_corruption(tmp_path):
     path.write_text(json.dumps({"autotune_version": 999, "pool_size": 2}))
     cal = ThroughputCalibrator(pool_size=2, path=path)
     assert cal.table()["cells"] == {}
-    # v1 tables (no backend prefix on the keys) would alias thread and
-    # process measurements: discarded wholesale.
+    # v1 tables (no backend prefix on the keys) would alias different
+    # backends' measurements: discarded wholesale.
     path.write_text(
         json.dumps(
             {
@@ -178,13 +178,13 @@ class TestBackendAxis:
 
     def test_backends_are_independent_cells(self):
         cal = ThroughputCalibrator(
-            pool_size=2, min_samples=1, backends=("thread", "process")
+            pool_size=2, min_samples=1, backends=("thread", "codegen")
         )
         nbytes = 1 << 22
         for p in (1, 2):
             cal.record("indexed", nbytes, p, 1.0, backend="thread")
         assert cal.calibrated("indexed", nbytes, backend="thread")
-        assert not cal.calibrated("indexed", nbytes, backend="process")
+        assert not cal.calibrated("indexed", nbytes, backend="codegen")
 
     def test_single_backend_short_circuits(self):
         cal = ThroughputCalibrator(pool_size=2, min_samples=1)
@@ -192,31 +192,84 @@ class TestBackendAxis:
 
     def test_explore_then_exploit_across_backends(self):
         cal = ThroughputCalibrator(
-            pool_size=2, min_samples=1, backends=("thread", "process")
+            pool_size=2, min_samples=1, backends=("thread", "codegen")
         )
         nbytes = 1 << 22
         # Undersampled cells force exploration, thread first.
         assert cal.choose_backend("indexed", nbytes) == "thread"
         for p in (1, 2):
             cal.record("indexed", nbytes, p, 1.0, backend="thread")
-        assert cal.choose_backend("indexed", nbytes) == "process"
-        # Make the process side measure 4x the thread throughput.
+        assert cal.choose_backend("indexed", nbytes) == "codegen"
+        # Make the codegen side measure 4x the thread throughput.
         for p in (1, 2):
-            cal.record("indexed", nbytes, p, 0.25, backend="process")
-        assert cal.choose_backend("indexed", nbytes) == "process"
+            cal.record("indexed", nbytes, p, 0.25, backend="codegen")
+        assert cal.choose_backend("indexed", nbytes) == "codegen"
 
     def test_faster_thread_side_wins(self):
         cal = ThroughputCalibrator(
-            pool_size=1, min_samples=1, backends=("thread", "process")
+            pool_size=1, min_samples=1, backends=("thread", "codegen")
         )
         nbytes = 1 << 22
         cal.record("chunked", nbytes, 1, 0.5, backend="thread")
-        cal.record("chunked", nbytes, 1, 1.0, backend="process")
+        cal.record("chunked", nbytes, 1, 1.0, backend="codegen")
         assert cal.choose_backend("chunked", nbytes) == "thread"
 
     def test_requires_a_backend(self):
         with pytest.raises(ValueError, match="backend"):
             ThroughputCalibrator(pool_size=2, backends=())
+
+
+class TestStaleBackendCells:
+    """Tables written while a ``process`` backend existed keep its cells
+    under that prefix; loading must drop them (and rewrite the file) so
+    they never reach ``backend_wins()`` or the CLI tables again."""
+
+    def _v3_with_process(self):
+        cell = {
+            "1": {"count": 2, "total_s": 1.0, "total_bytes": 2 * (1 << 22)},
+            "2": {"count": 2, "total_s": 0.5, "total_bytes": 2 * (1 << 22)},
+        }
+        return {
+            "autotune_version": AUTOTUNE_VERSION,
+            "pool_size": 2,
+            "unavailable": ["codegen:chunked|2^22", "process:view|2^22"],
+            "cells": {
+                "thread:indexed|2^22": dict(cell),
+                "process:indexed|2^22": {
+                    "1": {"count": 2, "total_s": 0.1, "total_bytes": 2 * (1 << 22)},
+                    "2": {"count": 2, "total_s": 0.1, "total_bytes": 2 * (1 << 22)},
+                },
+                "codegen:indexed|2^22": dict(cell),
+            },
+        }
+
+    def test_unknown_backend_cells_dropped_and_rewritten(self, tmp_path):
+        path = tmp_path / "autotune.json"
+        path.write_text(json.dumps(self._v3_with_process()))
+        cal = ThroughputCalibrator(
+            pool_size=2, path=path, min_samples=1,
+            backends=("thread", "codegen"),
+        )
+        table = cal.table()
+        assert set(table["cells"]) == {
+            "thread:indexed|2^22", "codegen:indexed|2^22"
+        }
+        assert table["unavailable"] == ["codegen:chunked|2^22"]
+        # The process cell measured fastest; it must not win anything.
+        assert "process" not in cal.backend_wins().get("indexed", {})
+        cal.close()  # dirty after the drop: the file is rewritten
+        rewritten = json.loads(path.read_text())
+        assert not any(k.startswith("process:") for k in rewritten["cells"])
+        assert rewritten["unavailable"] == ["codegen:chunked|2^22"]
+
+    def test_clean_table_is_not_rewritten(self, tmp_path):
+        path = tmp_path / "autotune.json"
+        payload = self._v3_with_process()
+        del payload["cells"]["process:indexed|2^22"]
+        payload["unavailable"] = ["codegen:chunked|2^22"]
+        path.write_text(json.dumps(payload))
+        cal = ThroughputCalibrator(pool_size=2, path=path)
+        assert not cal._dirty
 
 
 class TestV3Migration:

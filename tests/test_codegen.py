@@ -11,7 +11,6 @@ backend routes, falls back, and reports correctly.
 """
 
 import json
-import pickle
 
 import numpy as np
 import pytest
@@ -181,15 +180,6 @@ class TestNestProgram:
         rows = program.out_shape[0]
         assert len(program.partition(rows * 10)) == rows
 
-    def test_pickle_regenerates_from_descriptor(self):
-        plan, program = _nest_program()
-        clone = pickle.loads(pickle.dumps(program))
-        assert clone.kind == "nest"
-        assert clone.descriptor["tiles"] == program.descriptor["tiles"]
-        assert clone.source == program.source
-        src = np.random.default_rng(3).standard_normal(plan.layout.volume)
-        assert np.array_equal(clone.run(src), program.run(src))
-
     def test_source_hash_tracks_source(self):
         _, program = _nest_program()
         sha = program.descriptor["source_sha"]
@@ -198,12 +188,10 @@ class TestNestProgram:
 
     def test_backend_reported(self):
         _, program = _nest_program()
-        backend = program.descriptor["backend"]
-        if cg.native_enabled():
-            assert backend == "c"
-        else:
-            assert backend == cg.compile_backend()
-        assert cg.compile_backend() in ("numpy", "numba")
+        assert program.descriptor["backend"] == cg.compile_backend()
+        assert cg.compile_backend() == (
+            "c" if cg.native_enabled() else "numpy"
+        )
         snap = cg.codegen_stats()
         assert snap["backend"] == cg.compile_backend()
         assert snap["native"]["enabled"] is True
@@ -442,12 +430,12 @@ class TestCalibrator:
 
     def test_choose_backend_among_restricts(self):
         t = ThroughputCalibrator(
-            pool_size=2, backends=("thread", "process", "codegen")
+            pool_size=2, backends=("thread", "codegen")
         )
-        # process would explore first in full order; among excludes it.
+        # thread would explore first in full order; among excludes it.
         assert t.choose_backend(
-            "indexed", 1 << 22, among=("thread", "codegen")
-        ) in ("thread", "codegen")
+            "indexed", 1 << 22, among=("codegen",)
+        ) == "codegen"
 
     def test_backend_wins_counts_calibrated_cells(self):
         t = ThroughputCalibrator(

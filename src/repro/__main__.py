@@ -447,6 +447,7 @@ def cmd_serve(args) -> int:
             f"{cg['artifact_misses']} misses "
             f"({cg['search_s_saved'] * 1e3:.1f} ms search saved)"
         )
+        print(_promotions_line(cg))
         native = cg.get("native") or {}
         if native.get("available") or cg.get("native_attached"):
             print(
@@ -475,6 +476,16 @@ def cmd_serve(args) -> int:
         f"+ {stats['store'].get('artifacts', 0)} artifacts, metrics.json)"
     )
     return 0
+
+
+def _promotions_line(codegen: dict) -> str:
+    """The promote-on-hot decisions of the library path, one line."""
+    return (
+        f"promotions: {codegen.get('promotions_tried', 0)} tried, "
+        f"{codegen.get('promotions_kept_nest', 0)} kept nest / "
+        f"{codegen.get('promotions_kept_incumbent', 0)} kept incumbent, "
+        f"native compile {codegen.get('native_compile_s', 0.0) * 1e3:.1f} ms"
+    )
 
 
 def _print_histogram_lines(histograms: dict) -> None:
@@ -711,6 +722,7 @@ def cmd_stats(args) -> int:
             f"{codegen.get('artifact_misses', 0)} misses "
             f"({saved_ms:.1f} ms search saved)"
         )
+        print("  " + _promotions_line(codegen))
         native = codegen.get("native") or {}
         if native.get("available") or codegen.get("native_attached"):
             cc = native.get("cc") or "no toolchain"

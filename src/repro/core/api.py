@@ -21,6 +21,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.cache import cached_plan
 from repro.core.plan import Predictor, TransposePlan, make_plan
 from repro.core.taxonomy import Schema
 from repro.errors import InvalidLayoutError
@@ -99,21 +100,25 @@ def _plan_for(
     spec: DeviceSpec,
     predictor: Optional[Predictor],
 ) -> TransposePlan:
-    """Plan directly, or through the installed runtime service.
+    """Plan through the installed runtime service, else the process-wide
+    plan cache.
 
     When a process-wide :class:`repro.runtime.TransposeService` is
     installed (see :func:`repro.runtime.set_default_service`), planning
     routes through it — gaining request coalescing, the LRU cache, the
-    persistent plan store, and metrics — unless the caller pins a custom
-    ``predictor``, which a shared service cannot honour per-call.
+    persistent plan store, and metrics.  Without one, the process-wide
+    :class:`~repro.core.cache.PlanCache` (:func:`~repro.core.cache
+    .cached_plan`) plans each problem once.  A caller that pins a custom
+    ``predictor`` bypasses both: neither can honour it per call.
     """
-    if predictor is None:
-        from repro.runtime import get_default_service
+    if predictor is not None:
+        return make_plan(dims, perm, elem_bytes, spec, predictor)
+    from repro.runtime import get_default_service
 
-        service = get_default_service()
-        if service is not None:
-            return service.plan(dims, perm, elem_bytes, spec)
-    return make_plan(dims, perm, elem_bytes, spec, predictor)
+    service = get_default_service()
+    if service is not None:
+        return service.plan(dims, perm, elem_bytes, spec)
+    return cached_plan(dims, perm, elem_bytes, spec)
 
 
 @dataclass(frozen=True)
@@ -286,6 +291,14 @@ def transpose(
     is written in place and ``out`` is returned; a non-contiguous,
     wrong-shape, or wrong-dtype ``out`` raises
     :class:`InvalidLayoutError` before anything is planned or executed.
+
+    The plan is memoized: without an installed runtime service, each
+    problem ``(shape, axes, dtype width, spec)`` is planned once per
+    process through the process-wide :class:`~repro.core.cache
+    .PlanCache`, so repeated calls skip planning (a pinned
+    ``predictor`` bypasses the cache and plans every call).  Repeated
+    large calls may also be promoted to the native nest after a
+    measured duel (:func:`~repro.kernels.executor.run_promoted`).
     """
     a = np.ascontiguousarray(array)
     if a.ndim != len(axes):

@@ -84,15 +84,16 @@ class TransposeKernel(abc.ABC):
         Execution runs through the kernel's compiled
         :class:`~repro.kernels.executor.ExecutorProgram` (built once,
         cached process-wide), so warm calls perform no per-call index
-        construction.
+        construction; a hot large view/region program is promoted to
+        the native nest once that wins a measured duel
+        (:func:`~repro.kernels.executor.run_promoted`).
         """
-        from repro.kernels.executor import executor_for
+        from repro.kernels.executor import run_promoted
 
         src = self.check_input(src)
-        program = executor_for(self)
-        if out is None:
-            return program.run(src)
-        return program.run(src, out=self.check_output(out, src.dtype))
+        if out is not None:
+            out = self.check_output(out, src.dtype)
+        return run_promoted(self, src, out)
 
     def executor(self):
         """The kernel's cached compiled executor program."""

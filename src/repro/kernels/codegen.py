@@ -243,6 +243,15 @@ _STATS_ZERO = {
     "native_unsupported": 0,
     "native_toolchain_missing": 0,
     "native_attached": 0,
+    # Seconds spent inside successful native compiles; divided by
+    # native_compiled it is the price promote-on-hot pays to buy a nest.
+    "native_compile_s": 0.0,
+    # Promotions of hot view/region programs (see
+    # repro.kernels.executor.run_promoted): duels started, and how each
+    # ended — the native nest kept, or the incumbent kept for good.
+    "promotions_tried": 0,
+    "promotions_kept_nest": 0,
+    "promotions_kept_incumbent": 0,
 }
 
 _STATS = dict(_STATS_ZERO)
@@ -461,8 +470,7 @@ def _loop_orders(blocked: Sequence[int], nd: int) -> List[Tuple[int, ...]]:
     orders = [tuple(inner)]
     if len(inner) == 2:
         orders.append((inner[1], inner[0]))
-    lead = [0] if (0 in blocked or True) else []
-    return [tuple(lead) + o for o in orders]
+    return [(0,) + o for o in orders]
 
 
 def search_nest(
@@ -702,11 +710,14 @@ class NestProgram(ExecutorProgram):
         A ``False`` here is per-call, not permanent: the emitted object
         bakes the element width in, and raw pointers require both flat
         buffers to be C-contiguous (they always are on the scheduler
-        path; oddly-strided callers just take the Python nest).
+        path; oddly-strided callers just take the Python nest).  Object
+        arrays never qualify: the C kernel copies raw ``PyObject*``
+        words without touching their reference counts.
         """
         return (
             self._native is not None
             and src.dtype.itemsize == self._elem_bytes
+            and not src.dtype.hasobject
             and src.flags["C_CONTIGUOUS"]
             and dst.flags["C_CONTIGUOUS"]
         )
@@ -983,4 +994,52 @@ def maybe_nest_program(
     # compiles.
     return NestProgram(
         desc, native_dir=getattr(artifacts, "native_dir", None)
+    )
+
+
+# ----------------------------------------------------------------------
+# Promote-on-hot: the nest side of the library path's measured duel
+# (the state machine is repro.kernels.executor.run_promoted)
+# ----------------------------------------------------------------------
+
+#: Expected seconds to generate one native nest until this process has
+#: measured a compile of its own (the 64 MiB bench nests compiled in
+#: 58-119 ms on a 2-CPU host).
+DEFAULT_COMPILE_S = 0.1
+
+
+def expected_compile_s() -> float:
+    """The one-time price of a native nest: the mean measured compile
+    time so far (``native_compile_s / native_compiled``), else
+    :data:`DEFAULT_COMPILE_S`."""
+    with _STATS_LOCK:
+        compiled, seconds = _STATS["native_compiled"], _STATS["native_compile_s"]
+    return seconds / compiled if compiled else DEFAULT_COMPILE_S
+
+
+def promotion_nest(
+    in_shape: Sequence[int], axes: Sequence[int], elem_bytes: int
+) -> Optional[NestProgram]:
+    """The native nest a hot view/region program duels, or ``None``.
+
+    Counted as ``promotions_tried``.  The descriptor's ``profitable``
+    flag is ignored: it prices the nest against the indexed route, while
+    the incumbent here is the view/region chain, which the duel measures
+    directly.  ``None`` — counted as ``promotions_kept_incumbent`` —
+    when the C backend does not attach (a compile or load failure).
+    """
+    _count("promotions_tried")
+    nest = NestProgram(
+        nest_descriptor(in_shape, axes, elem_bytes), use_native=True
+    )
+    if nest.descriptor["backend"] != "c":
+        _count("promotions_kept_incumbent")
+        return None
+    return nest
+
+
+def promotion_verdict(kept_nest: bool) -> None:
+    """Count how a promotion duel ended."""
+    _count(
+        "promotions_kept_nest" if kept_nest else "promotions_kept_incumbent"
     )

@@ -59,6 +59,8 @@ against ``B`` independent :meth:`~ExecutorProgram.run` calls.
 from __future__ import annotations
 
 import abc
+import threading
+import time
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -176,6 +178,25 @@ class ExecutorProgram(abc.ABC):
         self.run(src, out=out)
 
 
+class Promotion:
+    """Promote-on-hot state of one cached view/region program.
+
+    ``stage`` moves ``watch`` → ``compile`` → ``duel`` → ``nest`` or
+    ``incumbent`` (both final); :func:`run_promoted` drives it.
+    ``timed`` holds the duel's timed seconds, incumbent then nest.
+    """
+
+    __slots__ = ("lock", "stage", "chain_s", "nest", "turn", "timed")
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.stage = "watch"
+        self.chain_s = 0.0
+        self.nest = None
+        self.turn = 0
+        self.timed: Tuple[List[float], List[float]] = ([], [])
+
+
 class ViewProgram(ExecutorProgram):
     """Pure ``reshape``/``transpose``/``ascontiguousarray`` chain.
 
@@ -191,6 +212,9 @@ class ViewProgram(ExecutorProgram):
         self.in_shape = in_shape
         self.axes = axes
         self.out_shape = tuple(in_shape[a] for a in axes)
+        #: Promote-on-hot state (see :func:`run_promoted`): it lives on
+        #: the cached program, so eviction drops it with the program.
+        self.promotion = Promotion()
 
     def _moved(self, src: np.ndarray) -> np.ndarray:
         return np.transpose(src.reshape(self.in_shape), self.axes)
@@ -733,6 +757,117 @@ def executor_for(
         codegen=codegen,
         artifacts=artifacts,
     )[0]
+
+
+# ----------------------------------------------------------------------
+# Promote-on-hot: the library path's measured duel
+# ----------------------------------------------------------------------
+
+#: Timed calls each side of a promotion duel gets (after the nest's
+#: untimed first call); the best of each side is compared.
+DUEL_CALLS = 2
+
+
+def run_promoted(
+    kernel, src: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Run ``kernel``'s cached program, promoting it to the native nest
+    once it is hot and the nest has won a measured duel.
+
+    This is the library execution path (``TransposeKernel.execute``).
+    Promotion applies only to view/region programs whose operand is at
+    least :data:`~repro.kernels.codegen.NEST_MIN_BYTES` of plain data
+    (object arrays hold reference-counted pointers the C nest cannot
+    copy), with the C backend available (``compile_backend() == "c"``);
+    anything else runs its program unchanged.  Three steps, the state kept on the cached
+    program (:class:`Promotion`):
+
+    1. **Trigger** (ski rental) — once the time this program has spent
+       on the view/region chain reaches the expected one-time cost of a
+       nest (:func:`~repro.kernels.codegen.expected_compile_s`), the
+       calling thread builds it; concurrent callers keep running the
+       incumbent meanwhile, and a program compiles at most once.
+    2. **Duel** — live calls alternate between the nest and the
+       incumbent; the nest's first call is untimed, then each side gets
+       :data:`DUEL_CALLS` timed calls.  No probe buffers are allocated.
+    3. **Commit** — the nest is kept only if its best call beats the
+       incumbent's by :data:`~repro.kernels.codegen
+       .REFINE_SWITCH_MARGIN`; the loser is never tried again while the
+       program stays cached.
+
+    Both tiers are bit-exact, so a race only decides which one wins.
+    """
+    program = executor_for(kernel)
+    promo = getattr(program, "promotion", None)
+    if promo is None or promo.stage == "incumbent":
+        return program.run(src, out)
+    from repro.kernels import codegen
+
+    if (
+        src.nbytes < codegen.NEST_MIN_BYTES
+        or src.dtype.itemsize != kernel.elem_bytes
+        or src.dtype.hasobject
+    ):
+        return program.run(src, out)
+    stage = promo.stage
+    if stage == "nest":
+        return promo.nest.run(src, out)
+    if stage == "duel":
+        return _duel(promo, program, src, out)
+
+    started = time.perf_counter()
+    result = program.run(src, out)
+    elapsed = time.perf_counter() - started
+    if stage == "watch":
+        price = codegen.expected_compile_s()
+        with promo.lock:
+            promo.chain_s += elapsed
+            fire = promo.stage == "watch" and promo.chain_s >= price
+            if fire:
+                promo.stage = "compile"
+        if fire:
+            nest = None
+            try:
+                if codegen.compile_backend() == "c":
+                    nest = codegen.promotion_nest(
+                        program.in_shape, program.axes, kernel.elem_bytes
+                    )
+            finally:
+                promo.nest = nest
+                promo.stage = "duel" if nest is not None else "incumbent"
+    return result
+
+
+def _duel(promo: Promotion, program, src, out):
+    """One live call of a promotion duel (see :func:`run_promoted`)."""
+    from repro.kernels import codegen
+
+    with promo.lock:
+        nest, turn = promo.nest, promo.turn
+        promo.turn += 1
+    if nest is None:  # committed to the incumbent meanwhile
+        return program.run(src, out)
+    on_nest = turn % 2 == 0
+    started = time.perf_counter()
+    result = (nest if on_nest else program).run(src, out)
+    elapsed = time.perf_counter() - started
+    if turn == 0:  # the nest's first call warms it and is not timed
+        return result
+    with promo.lock:
+        if promo.stage != "duel":
+            return result
+        promo.timed[on_nest].append(elapsed)
+        incumbent, nested = promo.timed
+        if min(len(incumbent), len(nested)) < DUEL_CALLS:
+            return result
+        keep = min(nested) <= min(incumbent) * (
+            1.0 - codegen.REFINE_SWITCH_MARGIN
+        )
+        promo.stage = "nest" if keep else "incumbent"
+        if not keep:
+            promo.nest = None
+    codegen.promotion_verdict(keep)
+    return result
 
 
 def exec_cache_stats() -> dict:

@@ -45,6 +45,7 @@ lock (see ``codegen_stats``).
 
 from __future__ import annotations
 
+import atexit
 import ctypes
 import hashlib
 import math
@@ -52,6 +53,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import time
 from pathlib import Path
 from threading import Lock
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -192,8 +194,9 @@ _DEFAULT_DIR_LOCK = Lock()
 def default_cache_dir() -> Path:
     """The object-cache directory used when the caller pins none.
 
-    ``REPRO_NATIVE_CACHE_DIR`` wins; else a per-process tempdir (still
-    correct — just no cross-restart reuse).
+    ``REPRO_NATIVE_CACHE_DIR`` wins (and is never removed); else a
+    per-process tempdir (still correct — just no cross-restart reuse),
+    which is deleted when the process exits.
     """
     override = os.environ.get("REPRO_NATIVE_CACHE_DIR")
     if override:
@@ -202,6 +205,7 @@ def default_cache_dir() -> Path:
     with _DEFAULT_DIR_LOCK:
         if _DEFAULT_DIR is None:
             _DEFAULT_DIR = Path(tempfile.mkdtemp(prefix="repro-native-"))
+            atexit.register(shutil.rmtree, _DEFAULT_DIR, ignore_errors=True)
         return _DEFAULT_DIR
 
 
@@ -465,7 +469,9 @@ def ensure_compiled(c_source: str, cache_dir: Path, tc: dict) -> Path:
         if so_path.is_file():
             _COUNT("native_so_cache_hits")
             return so_path
+        started = time.perf_counter()
         _compile(c_source, cache_dir, so_path, tc)
+        _COUNT("native_compile_s", time.perf_counter() - started)
     _COUNT("native_compiled")
     return so_path
 

@@ -6,7 +6,9 @@ precision metric ``mean(|actual - predicted| / actual) * 100``.
 
 Built on :func:`numpy.linalg.lstsq` with the covariance machinery done
 explicitly (no statsmodels in the environment); p-values use
-:mod:`scipy.stats`.
+:mod:`scipy.stats`, imported inside :meth:`LinearRegression.fit` so that
+planning — which loads pretrained coefficients and never fits — does not
+pay for importing scipy.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ModelError
 
@@ -155,6 +156,8 @@ class LinearRegression:
         se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
         with np.errstate(divide="ignore", invalid="ignore"):
             t_vals = np.where(se > 0, beta / se, np.inf)
+        from scipy import stats
+
         p_vals = 2.0 * stats.t.sf(np.abs(t_vals), dof)
 
         plain_resid = y - A @ beta

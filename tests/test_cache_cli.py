@@ -186,6 +186,7 @@ class TestServeStatsCli:
         assert "plans_built" in stats_out
         assert "executions_completed" in stats_out
         assert "cache:" in stats_out and "store:" in stats_out
+        assert "promotions: 0 tried" in stats_out
 
         raw = run_cli("stats", "--state-dir", state, "--json")
         payload = json.loads(raw)
